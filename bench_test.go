@@ -662,10 +662,11 @@ func BenchmarkPlanOnlineLatency(b *testing.B) {
 		})
 	})
 	b.Run("cache-warm", func(b *testing.B) {
-		// A fresh service per iteration keeps simulated time inside the
-		// engine's MaxTime horizon at any b.N; the single warming round is
-		// untimed but still lands in BENCH_sim.json's wall-clock (it is the
-		// same deterministic overhead in the baseline and in every rerun).
+		// A fresh service per iteration gives every iteration the same
+		// world (one warm template, no earlier traffic) at any b.N; the
+		// single warming round is untimed but still lands in
+		// BENCH_sim.json's wall-clock (it is the same deterministic
+		// overhead in the baseline and in every rerun).
 		timed(b, func() {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

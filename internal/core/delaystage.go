@@ -306,7 +306,7 @@ func Compute(opt Options, job *workload.Job) (*Schedule, error) {
 	case opt.UseModelEvaluator:
 		ev = newModelEvaluator(model, job, reach, k, solo)
 	default:
-		ev = newSimEvaluator(opt.Cluster, job, k, opt.DisableEvalCache)
+		ev = newSimEvaluator(opt.Cluster, job, opt.DisableEvalCache)
 	}
 	captureStats := func() {
 		if sp, ok := ev.(evalStatser); ok {

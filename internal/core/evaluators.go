@@ -124,6 +124,12 @@ type delayPair struct {
 // resulting parallelism, completion-time updates of subsequent and
 // interfering stages).
 //
+// It is the repository's one exact what-if evaluator. Alg. 1 simulates
+// the job alone, arriving at 0; the online planner (via WhatIf) simulates
+// a newcomer at its arrival time against a fixed background of committed
+// runs. Either way the answer is Σ JCT over every simulated run — for a
+// lone job arriving at 0 that is bit for bit its completion time.
+//
 // Three layers keep repeated questions cheap (see DESIGN.md, "What-if
 // evaluation"): an exact memo cache over (active set, delay vector)
 // fingerprints, snapshot forking during candidate scans (all candidates of
@@ -136,23 +142,27 @@ type simEvaluator struct {
 	coarse    *cluster.Cluster
 	job       *workload.Job
 	cur       *workload.Job // restricted to the active set
-	inK       map[dag.StageID]bool
 	shared    *evalShared
 	activeKey string // canonical key of the active set ("*" = all)
+
+	// background are the fixed runs the evaluated job shares the cluster
+	// with (none for Alg. 1); the evaluated job is simulated as run
+	// len(background), submitted at arrival. fairByJob carries into every
+	// simulation.
+	background []sim.JobRun
+	arrival    float64
+	fairByJob  bool
 
 	// Per-clone scratch, reset by Clone.
 	keyScratch    []byte
 	pairScratch   []delayPair
 	filterScratch map[dag.StageID]float64
+	runScratch    []sim.JobRun
 }
 
-func newSimEvaluator(c *cluster.Cluster, job *workload.Job, k []dag.StageID, disableCache bool) *simEvaluator {
-	inK := make(map[dag.StageID]bool, len(k))
-	for _, id := range k {
-		inK[id] = true
-	}
+func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool) *simEvaluator {
 	return &simEvaluator{
-		coarse: coarseFor(c), job: job, cur: job, inK: inK, activeKey: "*",
+		coarse: coarseFor(c), job: job, cur: job, activeKey: "*",
 		shared: &evalShared{
 			disable: disableCache,
 			memo:    map[string]float64{},
@@ -165,7 +175,7 @@ func newSimEvaluator(c *cluster.Cluster, job *workload.Job, k []dag.StageID, dis
 // cache state are carried over, the per-clone scratch buffers are not.
 func (e *simEvaluator) Clone() Evaluator {
 	c := *e
-	c.keyScratch, c.pairScratch, c.filterScratch = nil, nil, nil
+	c.keyScratch, c.pairScratch, c.filterScratch, c.runScratch = nil, nil, nil, nil
 	return &c
 }
 
@@ -247,7 +257,9 @@ func (e *simEvaluator) evalStats() EvalStats {
 // the active-set key plus sorted (stage, exact float bits) pairs of every
 // non-zero delay that applies to the active sub-job. Exact — distinct
 // configurations can never collide — and zero entries drop out, so "no
-// entry" and "explicit 0" (the same simulation) share one slot.
+// entry" and "explicit 0" (the same simulation) share one slot. The
+// background and arrival are fixed for the evaluator's lifetime, so they
+// need no place in the key.
 func (e *simEvaluator) fingerprint(delays map[dag.StageID]float64) string {
 	pairs := e.pairScratch[:0]
 	for id, v := range delays {
@@ -268,6 +280,8 @@ func (e *simEvaluator) fingerprint(delays map[dag.StageID]float64) string {
 	return string(key)
 }
 
+// Makespan implements Evaluator: the objective (Σ JCT over every
+// simulated run) under the evaluated job's delays.
 func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
 	sh := e.shared
 	var fp string
@@ -310,6 +324,7 @@ func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error)
 // m−1 forks for a scan with m misses.
 func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, error) {
 	sh := e.shared
+	self := len(e.background)
 	if !sh.disable {
 		sh.scanMu.Lock()
 		if sh.scan.on {
@@ -323,8 +338,7 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 						pre[id] = v
 					}
 				}
-				snap, err := sim.SnapshotAt(sim.Options{Cluster: e.coarse, TrackNode: -1},
-					[]sim.JobRun{{Job: e.cur, Delays: pre}}, sh.scan.tr)
+				snap, err := sim.SnapshotAt(e.options(), e.runs(pre), sh.scan.tr)
 				if err != nil {
 					sh.scanMu.Unlock()
 					return 0, false, err
@@ -333,16 +347,16 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 			}
 			if snap, kid := sh.scan.snap, sh.scan.kid; snap != nil {
 				sh.scanMu.Unlock()
-				res, err := snap.Resume([]sim.DelayUpdate{{Job: 0, Stage: kid, Delay: delays[kid]}})
+				res, err := snap.Resume([]sim.DelayUpdate{{Job: self, Stage: kid, Delay: delays[kid]}})
 				if err != nil {
 					return 0, false, err
 				}
-				return jobEnd(res), true, nil
+				return totalJCT(res), true, nil
 			}
 			// First miss of the scan.
 			res, err := e.fullRun(delays)
 			if err == nil {
-				if tl := res.Timeline(0, sh.scan.kid); tl != nil {
+				if tl := res.Timeline(self, sh.scan.kid); tl != nil {
 					sh.scan.tr, sh.scan.trOK = tl.Ready, true
 				}
 			}
@@ -350,7 +364,7 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 			if err != nil {
 				return 0, false, err
 			}
-			return jobEnd(res), false, nil
+			return totalJCT(res), false, nil
 		}
 		sh.scanMu.Unlock()
 	}
@@ -358,14 +372,31 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 	if err != nil {
 		return 0, false, err
 	}
-	return jobEnd(res), false, nil
+	return totalJCT(res), false, nil
 }
 
-// fullRun simulates the active sub-job from scratch. Delays for stages
-// outside the sub-job are filtered out; when every entry applies — the
-// common case — the caller's live map is passed through as-is (sim.Run
-// neither retains nor mutates it), and the filtered copy otherwise lands
-// in a reused scratch map. Both avoid the per-call map the old code built.
+// options are the simulation options of every what-if run.
+func (e *simEvaluator) options() sim.Options {
+	return sim.Options{Cluster: e.coarse, TrackNode: -1, FairByJob: e.fairByJob}
+}
+
+// runs lays out the background plus the evaluated job under delays in the
+// clone's reused run slice (sim.Run neither retains nor mutates it, and
+// SnapshotAt copies it).
+func (e *simEvaluator) runs(delays map[dag.StageID]float64) []sim.JobRun {
+	if e.runScratch == nil {
+		e.runScratch = append(make([]sim.JobRun, 0, len(e.background)+1), e.background...)
+		e.runScratch = append(e.runScratch, sim.JobRun{})
+	}
+	e.runScratch[len(e.background)] = sim.JobRun{Job: e.cur, Arrival: e.arrival, Delays: delays}
+	return e.runScratch
+}
+
+// fullRun simulates the background and the active sub-job from scratch.
+// Delays for stages outside the sub-job are filtered out; when every entry
+// applies — the common case — the caller's live map is passed through
+// as-is (sim.Run neither retains nor mutates it), and the filtered copy
+// otherwise lands in a reused scratch map.
 func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (*sim.Result, error) {
 	d := delays
 	if len(delays) > 0 {
@@ -386,26 +417,64 @@ func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (*sim.Result, err
 			}
 		}
 	}
-	return sim.Run(sim.Options{Cluster: e.coarse, TrackNode: -1},
-		[]sim.JobRun{{Job: e.cur, Delays: d}})
+	return sim.Run(e.options(), e.runs(d))
 }
 
-// jobEnd is the completion time of the whole (active) job, measured from
-// job start. Eq. (3) charges the delays x_k to the path times, so a
-// window-width objective would let delays shift every path later for free;
-// and minimizing only the last *parallel* stage can push the specific
-// parents of a sequential tail later while the K-maximum shrinks, hurting
-// the JCT the paper reports. The job end subsumes both: with zero-length
-// tails it equals the parallel-region completion.
-func jobEnd(res *sim.Result) float64 {
-	end := 0.0
-	for _, tl := range res.Timelines {
-		if tl.End > end {
-			end = tl.End
-		}
+// totalJCT is the what-if objective: Σ (end − arrival) over every run, in
+// run order. For Alg. 1's lone job arriving at 0 it is the completion time
+// of the whole (active) job, measured from job start — JobEnd is the
+// latest stage end, and 0 + (end − 0) is end exactly. Eq. (3) charges the
+// delays x_k to the path times, so a window-width objective would let
+// delays shift every path later for free; and minimizing only the last
+// *parallel* stage can push the specific parents of a sequential tail
+// later while the K-maximum shrinks, hurting the JCT the paper reports.
+// The job end subsumes both: with zero-length tails it equals the
+// parallel-region completion.
+func totalJCT(res *sim.Result) float64 {
+	total := 0.0
+	for i := range res.JobEnd {
+		total += res.JCT(i)
 	}
-	return end
+	return total
 }
+
+// WhatIf is the exact what-if evaluator for callers outside Alg. 1: it
+// prices a newcomer's delay vector against a fixed background of
+// committed runs with the same memo cache and scan-snapshot forks Compute
+// uses, so the online planner needs no simulation path of its own. The
+// background is fixed for the WhatIf's lifetime — build a new one whenever
+// it changes, or the memo answers for a world that no longer exists.
+//
+// Not safe for concurrent use.
+type WhatIf struct{ e *simEvaluator }
+
+// NewWhatIf returns an evaluator for job submitted at arrival on c (coarse
+// view, as Compute simulates), sharing the cluster with background (copied;
+// it must validate for sim.Run). fairByJob carries into every simulation.
+func NewWhatIf(c *cluster.Cluster, job *workload.Job, arrival float64, background []sim.JobRun, fairByJob bool) *WhatIf {
+	e := newSimEvaluator(c, job, false)
+	e.background = slices.Clone(background)
+	e.arrival, e.fairByJob = arrival, fairByJob
+	return &WhatIf{e: e}
+}
+
+// Total returns Σ JCT over the background runs and the job under delays,
+// summed in run order with the job last — bit for bit what one sim.Run of
+// background+job reports. The map is read, never retained.
+func (w *WhatIf) Total(delays map[dag.StageID]float64) (float64, error) {
+	return w.e.Makespan(delays)
+}
+
+// BeginScan declares that every Total call until EndScan varies only stage
+// kid's delay, so candidates fork one snapshot taken just before kid's
+// ready time instead of simulating from scratch.
+func (w *WhatIf) BeginScan(kid dag.StageID) { w.e.BeginScan(kid) }
+
+// EndScan drops the scan snapshot.
+func (w *WhatIf) EndScan() { w.e.EndScan() }
+
+// Stats breaks the Total calls so far down by how they were answered.
+func (w *WhatIf) Stats() EvalStats { return w.e.evalStats() }
 
 // modelEvaluator approximates the same question in closed form, phase by
 // phase: every stage is three consecutive intervals — shuffle read

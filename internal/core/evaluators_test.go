@@ -52,9 +52,7 @@ func TestRestrictJobDropsCrossEdges(t *testing.T) {
 func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	c := c30()
 	j := workload.LDA(c, 0.2)
-	reach, _ := dag.NewReachability(j.Graph)
-	k := dag.ParallelStages(j.Graph, reach)
-	ev := newSimEvaluator(c, j, k, false)
+	ev := newSimEvaluator(c, j, false)
 	got, err := ev.Makespan(nil)
 	if err != nil {
 		t.Fatal(err)

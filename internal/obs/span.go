@@ -87,6 +87,15 @@ type DecisionAudit struct {
 	ExactEvals  int `json:"exact_evals,omitempty"`
 	ApproxEvals int `json:"approx_evals,omitempty"`
 
+	// CacheHits, ForkedEvals and FullEvals break ExactEvals down by how
+	// the what-if evaluator answered: from its memo, by forking a scan
+	// snapshot, or by a from-scratch simulation (they sum to ExactEvals).
+	// CacheHits counts evaluation-memo hits, not the plan-template cache
+	// hit that CacheHit reports.
+	CacheHits   int `json:"cache_hits,omitempty"`
+	ForkedEvals int `json:"forked_evals,omitempty"`
+	FullEvals   int `json:"full_evals,omitempty"`
+
 	// IncumbentTotal is the submit-when-ready baseline (Σ JCT over the
 	// committed jobs plus the newcomer at nil delays); ChosenTotal is the
 	// committed plan's value of the same objective.

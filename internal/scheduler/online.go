@@ -33,7 +33,7 @@ type OnlineOptions struct {
 	// FairByJob carries through to the evaluation and final simulation.
 	FairByJob bool
 	// DisableBoundPrune turns off the analytic candidate-pruning tier so
-	// every candidate is answered by a full multi-job simulation — the
+	// every candidate is answered by the exact what-if evaluator — the
 	// single-tier reference the invariance tests compare against. Plans
 	// are byte-identical either way: a pruned candidate's objective lower
 	// bound already met the running best, so its exact evaluation provably
@@ -108,6 +108,13 @@ type PlanAudit struct {
 	// exactly (Exact) or by the bound surrogate (Approx, approximate
 	// mode). Evaluations == Exact + Approx.
 	Prune core.PruneStats
+	// CacheHits, ForkedEvals and FullEvals break Prune.Exact down by how
+	// the what-if evaluator answered, as on core.Schedule: from its memo,
+	// by forking a scan snapshot, or by a from-scratch simulation.
+	// CacheHits + ForkedEvals + FullEvals == Prune.Exact.
+	CacheHits   int
+	ForkedEvals int
+	FullEvals   int
 }
 
 // OnlinePlanner plans continuously arriving jobs one at a time against
@@ -124,11 +131,10 @@ type OnlinePlanner struct {
 	audit  PlanAudit
 
 	committed []sim.JobRun
-	// scratch is reused across the thousands of candidate evaluations one
-	// planning pass makes (sim.Run does not retain it): committed only
-	// grows when a job is sealed, so per candidate only the last element
-	// changes.
-	scratch []sim.JobRun
+	// whatIf builds the exact evaluator of one Add: core.NewWhatIf. Only
+	// tests replace it, to check each answer against an independent
+	// simulation or to plan with a from-scratch reference.
+	whatIf func(job *workload.Job, arrival float64, committed []sim.JobRun) whatIf
 	// last is the highest arrival committed so far; Add and Commit
 	// enforce non-decreasing submission order. It survives Reset so a new
 	// busy-period epoch cannot rewind time.
@@ -159,7 +165,11 @@ func NewOnlinePlanner(opt OnlineOptions) (*OnlinePlanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OnlinePlanner{opt: opt, coarse: coarse, model: model}, nil
+	p := &OnlinePlanner{opt: opt, coarse: coarse, model: model}
+	p.whatIf = func(job *workload.Job, arrival float64, committed []sim.JobRun) whatIf {
+		return core.NewWhatIf(opt.Cluster, job, arrival, committed, opt.FairByJob)
+	}
+	return p, nil
 }
 
 // Committed returns the runs planned so far, in arrival order, ready for
@@ -180,7 +190,6 @@ func (p *OnlinePlanner) LastAudit() PlanAudit { return p.audit }
 // busy-period length instead of the daemon's lifetime.
 func (p *OnlinePlanner) Reset() {
 	p.committed = p.committed[:0]
-	p.scratch = p.scratch[:0]
 	p.lbSum = 0
 }
 
@@ -227,34 +236,27 @@ func (p *OnlinePlanner) admit(job *workload.Job, arrival float64) error {
 	return nil
 }
 
-// evalTotal simulates the committed runs plus the candidate and returns
-// Σ (end − arrival) over all jobs.
-func (p *OnlinePlanner) evalTotal(candidate sim.JobRun) (float64, error) {
-	p.scratch = append(append(p.scratch[:0], p.committed...), candidate)
-	runs := p.scratch
-	res, err := sim.Run(sim.Options{Cluster: p.coarse, TrackNode: -1, FairByJob: p.opt.FairByJob}, runs)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for i := range runs {
-		total += res.JCT(i)
-	}
-	return total, nil
+// whatIf is the exact objective of one Add: Σ JCT over the committed runs
+// plus the newcomer under its delays. core.WhatIf implements it.
+type whatIf interface {
+	Total(delays map[dag.StageID]float64) (float64, error)
+	BeginScan(kid dag.StageID)
+	EndScan()
+	Stats() core.EvalStats
 }
 
-// score answers one candidate configuration's objective value and counts
-// the evaluation: a full multi-job simulation normally, or the analytic
-// surrogate (committed lower bounds + the newcomer's delay-aware
-// estimate) in approximate mode.
-func (p *OnlinePlanner) score(candidate sim.JobRun, bev *perfmodel.BoundEvaluator) (float64, error) {
+// score answers one candidate delay vector's objective value and counts
+// the evaluation: the exact what-if evaluator normally (nil in
+// approximate mode), or the analytic surrogate (committed lower bounds +
+// the newcomer's delay-aware estimate).
+func (p *OnlinePlanner) score(ev whatIf, delays map[dag.StageID]float64, bev *perfmodel.BoundEvaluator) (float64, error) {
 	p.audit.Evaluations++
-	if p.opt.Approximate {
+	if ev == nil {
 		p.audit.Prune.Approx++
-		return p.lbSum + bev.Bounds(candidate.Delays).Estimate, nil
+		return p.lbSum + bev.Bounds(delays).Estimate, nil
 	}
 	p.audit.Prune.Exact++
-	return p.evalTotal(candidate)
+	return ev.Total(delays)
 }
 
 // Add plans one job against the committed runs, commits it and returns
@@ -296,10 +298,16 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 	default:
 		dag.SortPathsDescending(paths, weight)
 	}
+	// The exact tier: one evaluator per Add, because its memo is only
+	// valid while the committed set stays what it is now.
+	var ev whatIf
+	if !p.opt.Approximate {
+		ev = p.whatIf(job, arrival, p.committed)
+	}
 
 	delays := map[dag.StageID]float64{}
 	run.Delays = delays
-	stockTotal, err := p.score(run, bev)
+	stockTotal, err := p.score(ev, delays, bev)
 	if err != nil {
 		return sim.JobRun{}, err
 	}
@@ -339,6 +347,11 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 				if bev != nil && n > 1 {
 					through, rest, prunable = bev.ScanLower(kid, delays)
 				}
+				// Only kid's delay varies until the scan ends: candidates
+				// fork the simulation prefix up to kid's ready time.
+				if ev != nil {
+					ev.BeginScan(kid)
+				}
 				for c := 0; c < n; c++ {
 					x := float64(c) * step
 					if prunable {
@@ -350,7 +363,7 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 						}
 					}
 					delays[kid] = x
-					tot, err := p.score(run, bev)
+					tot, err := p.score(ev, delays, bev)
 					if err != nil {
 						return sim.JobRun{}, err
 					}
@@ -358,6 +371,9 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 						best = tot
 						bestDelay = x
 					}
+				}
+				if ev != nil {
+					ev.EndScan()
 				}
 				if bestDelay == 0 {
 					delete(delays, kid)
@@ -380,6 +396,10 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 	if run.Delays == nil {
 		p.audit.FallbackNoWin = true
 		p.audit.ChosenTotal = stockTotal
+	}
+	if ev != nil {
+		st := ev.Stats()
+		p.audit.CacheHits, p.audit.ForkedEvals, p.audit.FullEvals = st.CacheHits, st.ForkedRuns, st.FullRuns
 	}
 	p.committed = append(p.committed, run)
 	p.commitLB(run)

@@ -24,8 +24,20 @@ import (
 //	GET  /metrics       Prometheus text (plus /healthz, /debug/pprof/*)
 //
 // Submit returns 200 on acceptance, 429 on an admission bounce (body
-// carries the policy's reason), 400 on malformed input — including the
-// NaN/Inf arrival vetting shared with the planner.
+// carries the policy's reason), 413 on a body over maxSubmitBytes, 400 on
+// malformed input — including the NaN/Inf arrival vetting shared with the
+// planner and jobs over maxSubmitStages.
+
+// Submit input bounds. They are constants, not options: they only stop a
+// client from making the daemon decode or plan unbounded input, and sit
+// far above any real job — the paper's largest trace DAG has 186 stages,
+// and its jobspec is a few tens of KB.
+const (
+	// maxSubmitBytes caps a POST /v1/jobs body (413 above it).
+	maxSubmitBytes = 4 << 20
+	// maxSubmitStages caps a submitted job's stage count (400 above it).
+	maxSubmitStages = 2048
+)
 
 // submitBody is the POST /v1/jobs request payload. Job is kept raw so
 // jobspec.Parse applies its own validation and error messages.
@@ -92,10 +104,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var body submitBody
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		var mb *http.MaxBytesError
+		if errors.As(err, &mb) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if len(body.Job) == 0 {
@@ -105,6 +122,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := jobspec.Parse(bytes.NewReader(body.Job))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if n := len(spec.Stages); n > maxSubmitStages {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("job has %d stages, limit %d", n, maxSubmitStages))
 		return
 	}
 	job, err := spec.Job(s.opt.Cluster)

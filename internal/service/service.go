@@ -626,6 +626,7 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, arrival float64, depth
 	audit.Pruned = pa.Prune.Pruned
 	audit.ExactEvals = pa.Prune.Exact
 	audit.ApproxEvals = pa.Prune.Approx
+	audit.CacheHits, audit.ForkedEvals, audit.FullEvals = pa.CacheHits, pa.ForkedEvals, pa.FullEvals
 	s.mPruned.Add(float64(pa.Prune.Pruned))
 	s.mExactEvals.Add(float64(pa.Prune.Exact))
 	audit.IncumbentTotal = pa.IncumbentTotal

@@ -236,6 +236,52 @@ func TestServiceSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestServiceSubmitBounds: a body over maxSubmitBytes is refused with 413
+// without being decoded, and a well-formed job over maxSubmitStages with
+// 400 before it reaches planning.
+func TestServiceSubmitBounds(t *testing.T) {
+	s := newTestService(t, Options{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(body []byte) (int, string) {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb errorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		return resp.StatusCode, eb.Error
+	}
+
+	// Valid JSON the whole way, so only the size can refuse it.
+	big := []byte(`{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `"}`)
+	if code, msg := post(big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: %d (%s), want 413", code, msg)
+	}
+
+	var stages []string
+	for i := 0; i <= maxSubmitStages; i++ {
+		parents := "[]"
+		if i > 0 {
+			parents = "[" + strconv.Itoa(i-1) + "]"
+		}
+		stages = append(stages, fmt.Sprintf(
+			`{"id":%d,"parents":%s,"phases":{"read_sec":1,"compute_sec":1,"write_sec":1}}`, i, parents))
+	}
+	job := `{"name":"long","stages":[` + strings.Join(stages, ",") + `]}`
+	if len(job) >= maxSubmitBytes {
+		t.Fatalf("stage-count probe is %d bytes, must fit the body cap", len(job))
+	}
+	code, msg := post([]byte(`{"tenant":"t","arrival":0,"job":` + job + `}`))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "limit") {
+		t.Fatalf("%d-stage job: %d (%s), want 400", maxSubmitStages+1, code, msg)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("refused submissions reached the service: %d jobs", n)
+	}
+}
+
 // A cache hit must hand back exactly the delay vector a cold PlanOnline
 // run would choose — the acceptance criterion for template reuse.
 func TestTemplateCacheByteIdentical(t *testing.T) {
@@ -370,6 +416,47 @@ func TestServiceEpochRollover(t *testing.T) {
 	}
 }
 
+// TestServiceDay31 is the regression test for the 30-day limit: the
+// simulator's MaxTime used to be checked against absolute simulated time,
+// so every submission past day 30 failed. Jobs submitted on day 31 — the
+// second planned against the first — must plan, run and reach done.
+func TestServiceDay31(t *testing.T) {
+	c := cluster.NewM4LargeCluster(10)
+	s := newTestService(t, Options{Cluster: c})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	day31 := 31 * 24 * 3600.0
+	var ids []string
+	for i, job := range []*workload.Job{workload.CosineSimilarity(c, 0.15), workload.LDA(c, 0.1)} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+			bytes.NewReader(submitBodyFor(t, job, "acme", day31+float64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("day-31 submit %d: %d (%+v)", i, resp.StatusCode, st)
+		}
+		ids = append(ids, st.ID)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		st, ok := s.Job(id)
+		if !ok || st.State != StateDone || !(st.JCT > 0) {
+			t.Fatalf("job %s after drain: %+v", id, st)
+		}
+		if ps, ok := s.Plan(id); !ok || ps.Source != "planner" {
+			t.Fatalf("job %s plan: %+v", id, ps)
+		}
+	}
+}
+
 // Fingerprints must be invariant to stage-ID renaming (templates transfer
 // across recurring submissions with different ID assignments) and
 // sensitive to profile changes beyond the quantization grid.
@@ -431,6 +518,13 @@ func TestPlanAuditPruneFields(t *testing.T) {
 		}
 		if a.ApproxEvals != 0 {
 			t.Fatalf("approx_evals %d in exact mode", a.ApproxEvals)
+		}
+		if got := a.CacheHits + a.ForkedEvals + a.FullEvals; got != a.ExactEvals {
+			t.Fatalf("cache_hits %d + forked_evals %d + full_evals %d != exact_evals %d",
+				a.CacheHits, a.ForkedEvals, a.FullEvals, a.ExactEvals)
+		}
+		if a.FullEvals == 0 || a.ForkedEvals == 0 {
+			t.Fatalf("what-if evaluator never ran a full or forked simulation: %+v", a)
 		}
 	}
 	if !found {

@@ -231,6 +231,9 @@ func (h *timerHeap) pop() timer {
 type engine struct {
 	opt  Options
 	runs []JobRun
+	// maxTimeAt is the absolute simulated time past which the run aborts:
+	// the earliest arrival plus opt.MaxTime.
+	maxTimeAt float64
 
 	nNodes                         int
 	netBW                          []float64
@@ -348,6 +351,11 @@ func newEngine(opt Options, runs []JobRun) *engine {
 		failed:  make([]bool, len(runs)),
 		recomps: make(map[recompKey]*recompState),
 	}
+	start := math.Inf(1)
+	for _, r := range runs {
+		start = math.Min(start, r.Arrival)
+	}
+	e.maxTimeAt = start + opt.MaxTime
 	for _, n := range opt.Cluster.Nodes {
 		e.netBW = append(e.netBW, n.NetBW)
 		e.diskBW = append(e.diskBW, n.DiskBW)
@@ -1568,8 +1576,8 @@ func (e *engine) step() (done bool, err error) {
 	e.advance(dt)
 	e.removeDone()
 	e.res.Events++
-	if e.now > e.opt.MaxTime {
-		return false, fmt.Errorf("sim: exceeded MaxTime %.0fs", e.opt.MaxTime)
+	if e.now > e.maxTimeAt {
+		return false, fmt.Errorf("sim: exceeded MaxTime %.0fs after the earliest arrival", e.opt.MaxTime)
 	}
 	if e.res.Events > 5_000_000 {
 		return false, fmt.Errorf("sim: event limit exceeded at t=%.3f with %d items", e.now, len(e.items))

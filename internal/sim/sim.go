@@ -59,8 +59,11 @@ type Options struct {
 	// TrackCluster records cluster-wide usage series: busy-executor
 	// fraction, aggregate network and disk rates (Fig. 4a).
 	TrackCluster bool
-	// MaxTime aborts the run if simulated time exceeds it (safety against
-	// pathological inputs). Zero means 30 days.
+	// MaxTime aborts the run once simulated time runs more than MaxTime
+	// past the earliest arrival among the runs (safety against
+	// pathological inputs). It is a duration, not an absolute time: a run
+	// whose jobs arrive on day 31 gets the same 30 days as one starting at
+	// 0. Zero means 30 days.
 	MaxTime float64
 	// Faults injects task failures, stragglers and node crashes (nil: the
 	// perfect world — the engine behaves bit-identically to a build

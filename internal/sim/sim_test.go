@@ -336,6 +336,34 @@ func TestMaxTimeAbort(t *testing.T) {
 	}
 }
 
+// TestMaxTimeFromEarliestArrival: MaxTime is a duration measured from the
+// run's earliest arrival, not an absolute clock — a job submitted on
+// simulated day 31 runs under the default 30-day limit, and a short limit
+// still aborts a late-arriving run that overstays it.
+func TestMaxTimeFromEarliestArrival(t *testing.T) {
+	c := ref(3)
+	j := singleStageJob(c, 100, 100, 10)
+	day31 := 31 * 24 * 3600.0
+	early := mustRun(t, Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: j}})
+	late := mustRun(t, Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: j, Arrival: day31}})
+	if d := math.Abs(late.JCT(0) - early.JCT(0)); d > 1e-6 {
+		t.Fatalf("day-31 JCT %v differs from day-0 JCT %v by %v", late.JCT(0), early.JCT(0), d)
+	}
+	if _, err := Run(Options{Cluster: c, TrackNode: -1, MaxTime: 1},
+		[]JobRun{{Job: j, Arrival: day31}}); err == nil {
+		t.Fatal("a late run overstaying MaxTime must still abort")
+	}
+	st, err := NewStepper(Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: j, Arrival: day31}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.HasPendingEvents() {
+		if err := st.StepNextEvent(); err != nil {
+			t.Fatalf("stepper at day 31: %v", err)
+		}
+	}
+}
+
 func TestMakespanCoversAllJobs(t *testing.T) {
 	c := ref(5)
 	j := singleStageJob(c, 10, 10, 1)
